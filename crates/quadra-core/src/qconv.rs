@@ -2,6 +2,16 @@
 //! of QuadraLib (`qua.type#()` in the paper's API), generalised to every
 //! practical neuron type.
 //!
+//! Every branch of a quadratic convolution that reads the input `x` itself
+//! shares one lowering of it: the branch weights are stacked group-major
+//! into one weight ([`stack_conv_weights`]), so a single GEMM per sample and
+//! group produces all branch outputs, and one element-wise epilogue pass
+//! combines them into the neuron's output. The backward pass mirrors this:
+//! one stacked branch gradient, one transposed GEMM and one col2im for the
+//! input gradient, and the weight gradients reduced from one lowering of `x`.
+//! A branch on `x²` (T2, T2&4) is an ordinary convolution of `x²`: one more
+//! lowering and GEMM.
+//!
 //! T1 and T1&2 are deliberately *not* offered as convolution layers: their
 //! full-rank bilinear weight is a `C·r⁴·N·C` tensor (problem **P2**), which the
 //! paper reports blowing a 0.2 M-parameter ResNet up to 128 M parameters — the
@@ -11,16 +21,23 @@
 use crate::hybrid_bp::BackpropMode;
 use crate::neuron::NeuronType;
 use quadra_nn::{Layer, Param};
-use quadra_tensor::{Conv2dParams, InitKind, Tensor};
+use quadra_tensor::{stack_conv_weights, Conv2dParams, InitKind, Tensor};
 use rand::Rng;
 
 /// A quadratic convolution layer over NCHW tensors.
 ///
 /// For the proposed design ("Ours") the forward pass is
-/// `Y = conv(X, Wa) ∘ conv(X, Wb) + conv(X, Wc) + b`, i.e. three ordinary
-/// convolutions plus element-wise arithmetic — which is why it is as
-/// implementation-friendly as a first-order layer (design insight 4 of the
-/// paper). The other supported types drop or alter individual branches.
+/// `Y = conv(X, Wa) ∘ conv(X, Wb) + conv(X, Wc) + b`. It runs as one lowering
+/// of `X`, one GEMM over the stacked weights `[Wa; Wb; Wc]` and one epilogue
+/// computing `((a·b) + c) + bias` per element — the same work as a
+/// first-order convolution with three times the output channels, which is
+/// why the design is as implementation-friendly as a first-order layer
+/// (design insight 4 of the paper). The other supported types drop or alter
+/// individual branches.
+///
+/// A train forward keeps the input and, in [`BackpropMode::Default`], the
+/// product branches' outputs for the backward pass; an eval forward keeps
+/// nothing.
 pub struct QuadraticConv2d {
     neuron_type: NeuronType,
     mode: BackpropMode,
@@ -28,14 +45,14 @@ pub struct QuadraticConv2d {
     out_channels: usize,
     kernel: usize,
     conv: Conv2dParams,
-    wa: Option<Param>,
-    wb: Option<Param>,
-    wc: Option<Param>,
+    /// The branch weights the type uses, in `Wa, Wb, Wc` order: the first
+    /// [`Self::linear_branches`] convolve `x`, a remaining one convolves `x²`.
+    weights: Vec<Param>,
     bias: Param,
-    // Caches.
+    // Train-forward caches: the input, and the product branches' outputs
+    // stacked like the weights (`[n][group][branch][oc/groups][oh·ow]`).
     cached_x: Option<Tensor>,
-    cached_za: Option<Tensor>,
-    cached_zb: Option<Tensor>,
+    cached_z: Option<Tensor>,
     flops: usize,
 }
 
@@ -88,9 +105,9 @@ impl QuadraticConv2d {
             NeuronType::T4 | NeuronType::T4Identity | NeuronType::T2And4 | NeuronType::Ours
         );
         let needs_c = matches!(neuron_type, NeuronType::T2And4 | NeuronType::Ours);
-        let wa = Some(mk("qconv.wa"));
-        let wb = needs_b.then(|| mk("qconv.wb"));
-        let wc = needs_c.then(|| mk("qconv.wc"));
+        let mut weights = vec![mk("qconv.wa")];
+        weights.extend(needs_b.then(|| mk("qconv.wb")));
+        weights.extend(needs_c.then(|| mk("qconv.wc")));
         QuadraticConv2d {
             neuron_type,
             mode: BackpropMode::Default,
@@ -98,13 +115,10 @@ impl QuadraticConv2d {
             out_channels,
             kernel,
             conv: Conv2dParams::new(stride, padding, groups),
-            wa,
-            wb,
-            wc,
+            weights,
             bias: Param::new_no_decay("qconv.bias", Tensor::zeros(&[out_channels])),
             cached_x: None,
-            cached_za: None,
-            cached_zb: None,
+            cached_z: None,
             flops: 0,
         }
     }
@@ -154,8 +168,115 @@ impl QuadraticConv2d {
         self.conv
     }
 
-    fn conv_branch(&self, x: &Tensor, w: &Option<Param>) -> Tensor {
-        x.conv2d(&w.as_ref().expect("branch weight").value, None, self.conv).expect("conv shapes")
+    /// How many leading weights convolve `x` itself and share its lowering.
+    fn linear_branches(&self) -> usize {
+        match self.neuron_type {
+            NeuronType::T2 => 0,
+            NeuronType::T3 => 1,
+            NeuronType::T4 | NeuronType::T4Identity | NeuronType::T2And4 => 2,
+            NeuronType::Ours => 3,
+            NeuronType::T1 | NeuronType::T1And2 => unreachable!("rejected in constructor"),
+        }
+    }
+
+    /// How many leading branches form the product: `a·b`, or `a·a` for T3.
+    fn product_branches(&self) -> usize {
+        match self.neuron_type {
+            NeuronType::T2 => 0,
+            NeuronType::T3 => 1,
+            _ => 2,
+        }
+    }
+
+    /// The first `branches` weights stacked group-major into one weight.
+    fn stacked(&self, branches: usize) -> Tensor {
+        let parts: Vec<&Tensor> = self.weights[..branches].iter().map(|w| &w.value).collect();
+        stack_conv_weights(&parts, self.conv.groups).expect("branch weights share one shape")
+    }
+
+    /// Output elements per (sample, group) block: `oc/groups · oh · ow`.
+    fn block_len(&self, y: &Tensor) -> usize {
+        self.out_channels / self.conv.groups * y.shape()[2] * y.shape()[3]
+    }
+
+    /// Combine the branch outputs into `((a·b) + add) + bias` per element, in
+    /// the reference's operation order. `z` holds the linear branches stacked
+    /// `[n][group][branch][oc/groups][oh·ow]`; `add` is the third linear
+    /// branch (Ours), `x` (T4+Identity) or the `x²` branch `sq` (T2, T2&4).
+    fn epilogue(&self, x: &Tensor, z: Option<&Tensor>, sq: Option<&Tensor>) -> Tensor {
+        let first = z.or(sq).expect("every type has a branch");
+        let (n, oh, ow) = (first.shape()[0], first.shape()[2], first.shape()[3]);
+        let (hw, len) = (oh * ow, self.block_len(first));
+        let (nx, np) = (self.linear_branches(), self.product_branches());
+        let ocg = self.out_channels / self.conv.groups;
+        let bias = self.bias.value.as_slice();
+        let mut out = vec![0.0f32; n * self.out_channels * hw];
+        for (blk, o) in out.chunks_exact_mut(len).enumerate() {
+            let zb = z.map(|z| &z.as_slice()[blk * nx * len..(blk + 1) * nx * len]);
+            if let Some(zb) = zb {
+                // T3 has a single product branch, so `b` is `a` again.
+                let (a, b) = (&zb[..len], &zb[(np - 1) * len..np * len]);
+                for ((o, &a), &b) in o.iter_mut().zip(a).zip(b) {
+                    *o = a * b;
+                }
+            }
+            let add = match self.neuron_type {
+                NeuronType::Ours => zb.map(|zb| &zb[2 * len..3 * len]),
+                NeuronType::T4Identity => Some(&x.as_slice()[blk * len..(blk + 1) * len]),
+                _ => sq.map(|s| &s.as_slice()[blk * len..(blk + 1) * len]),
+            };
+            match add {
+                Some(add) if np == 0 => o.copy_from_slice(add),
+                Some(add) => o.iter_mut().zip(add).for_each(|(o, &v)| *o += v),
+                None => {}
+            }
+            let gi = blk % self.conv.groups;
+            for (row, &b) in o.chunks_exact_mut(hw).zip(&bias[gi * ocg..(gi + 1) * ocg]) {
+                row.iter_mut().for_each(|o| *o += b);
+            }
+        }
+        Tensor::from_vec(out, &[n, self.out_channels, oh, ow]).expect("output shape")
+    }
+
+    /// Keep only the product branches of the stacked linear-branch output.
+    fn product_rows(&self, z: Tensor) -> Tensor {
+        let (nx, np) = (self.linear_branches(), self.product_branches());
+        if np == nx {
+            return z;
+        }
+        let len = self.block_len(&z);
+        let mut kept = Vec::with_capacity(z.numel() / nx * np);
+        for blk in z.as_slice().chunks_exact(nx * len) {
+            kept.extend_from_slice(&blk[..np * len]);
+        }
+        let mut shape = z.shape().to_vec();
+        shape[1] = shape[1] / nx * np;
+        Tensor::from_vec(kept, &shape).expect("product shape")
+    }
+
+    /// Gradient of the stacked linear branches, `[g∘b | g∘a | g]` for Ours
+    /// (`g∘2a` for T3), laid out like their stacked output.
+    fn stacked_grad(&self, grad_out: &Tensor, z: &Tensor) -> Tensor {
+        let (nx, np) = (self.linear_branches(), self.product_branches());
+        let len = self.block_len(grad_out);
+        let mut gz = vec![0.0f32; grad_out.numel() * nx];
+        let blocks = gz.chunks_exact_mut(nx * len).zip(grad_out.as_slice().chunks_exact(len));
+        for ((gb, go), zb) in blocks.zip(z.as_slice().chunks_exact(np * len)) {
+            let (ga, rest) = gb.split_at_mut(len);
+            if np == 1 {
+                mul_into(ga, go, &zb[..len], 2.0); // d(a²)/da = 2a
+            } else {
+                let (gb, gc) = rest.split_at_mut(len);
+                mul_into(ga, go, &zb[len..2 * len], 1.0); // d(a·b)/da = b
+                mul_into(gb, go, &zb[..len], 1.0); // d(a·b)/db = a
+                if nx == 3 {
+                    gc.copy_from_slice(go); // Ours: d(a·b + c)/dc = 1
+                }
+            }
+        }
+        let mut shape = grad_out.shape().to_vec();
+        shape[1] *= nx;
+        Tensor::from_vec(gz, &shape).expect("stacked gradient shape")
     }
 
     fn branch_flops(&self, x: &Tensor, y: &Tensor) -> usize {
@@ -165,163 +286,84 @@ impl QuadraticConv2d {
     }
 }
 
-impl Layer for QuadraticConv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 4, "QuadraticConv2d expects NCHW input");
-        let (mut out, za, zb, nbranches) = match self.neuron_type {
-            NeuronType::T2 => {
-                let y = self.conv_branch(&x.square(), &self.wa);
-                (y, None, None, 1)
-            }
-            NeuronType::T3 => {
-                let za = self.conv_branch(x, &self.wa);
-                (za.square(), Some(za), None, 1)
-            }
-            NeuronType::T4 => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                (za.mul(&zb).expect("shape"), Some(za), Some(zb), 2)
-            }
-            NeuronType::T4Identity => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                (za.mul(&zb).expect("shape").add(x).expect("shape"), Some(za), Some(zb), 2)
-            }
-            NeuronType::T2And4 => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                let sq = self.conv_branch(&x.square(), &self.wc);
-                (za.mul(&zb).expect("shape").add(&sq).expect("shape"), Some(za), Some(zb), 3)
-            }
-            NeuronType::Ours => {
-                let za = self.conv_branch(x, &self.wa);
-                let zb = self.conv_branch(x, &self.wb);
-                let lin = self.conv_branch(x, &self.wc);
-                (za.mul(&zb).expect("shape").add(&lin).expect("shape"), Some(za), Some(zb), 3)
-            }
-            NeuronType::T1 | NeuronType::T1And2 => unreachable!("rejected in constructor"),
-        };
-        // Per-channel bias.
-        let bias = self.bias.value.reshape(&[1, self.out_channels, 1, 1]).expect("bias shape");
-        out = out.add(&bias).expect("bias broadcast");
-        self.flops = nbranches * self.branch_flops(x, &out);
+/// `out = g ∘ (z · scale)` element-wise.
+fn mul_into(out: &mut [f32], g: &[f32], z: &[f32], scale: f32) {
+    for ((o, &g), &z) in out.iter_mut().zip(g).zip(z) {
+        *o = g * (z * scale);
+    }
+}
 
-        self.cached_x = Some(x.clone());
-        match self.mode {
-            BackpropMode::Default => {
-                self.cached_za = za;
-                self.cached_zb = zb;
-            }
-            BackpropMode::Hybrid => {
-                self.cached_za = None;
-                self.cached_zb = None;
-            }
-        }
+impl Layer for QuadraticConv2d {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        assert_eq!(x.ndim(), 4, "QuadraticConv2d expects NCHW input");
+        let nx = self.linear_branches();
+        let z = (nx > 0).then(|| x.conv2d(&self.stacked(nx), None, self.conv).expect("conv shapes"));
+        let sq =
+            self.weights.get(nx).map(|w| x.square().conv2d(&w.value, None, self.conv).expect("conv shapes"));
+        let out = self.epilogue(x, z.as_ref(), sq.as_ref());
+        self.flops = self.weights.len() * self.branch_flops(x, &out);
+
+        self.cached_x = train.then(|| x.clone());
+        self.cached_z = match (train, self.mode) {
+            (true, BackpropMode::Default) => z.map(|z| self.product_rows(z)),
+            _ => None,
+        };
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cached_x.take().expect("backward called before forward");
+        let x = self.cached_x.take().expect("backward called before a train forward");
         self.bias.accumulate_grad(&Tensor::conv2d_backward_bias(grad_out).expect("bias grad"));
-
         let conv = self.conv;
-        let mut grad_in = Tensor::zeros(x.shape());
+        let (nx, np) = (self.linear_branches(), self.product_branches());
 
-        // Contribution of a branch y = conv(x_used, w) receiving gradient branch_grad.
-        let conv_branch_backward = |w: &mut Option<Param>,
-                                    branch_grad: &Tensor,
-                                    grad_in: &mut Tensor,
-                                    x_used: &Tensor,
-                                    x_is_square: bool,
-                                    x_orig: &Tensor| {
-            let w = w.as_mut().expect("branch weight");
-            let gw = Tensor::conv2d_backward_weight(branch_grad, x_used, w.value.shape(), conv)
+        let mut grad_in = if nx > 0 {
+            let z = match self.cached_z.take() {
+                Some(z) => z,
+                None => x.conv2d(&self.stacked(np), None, conv).expect("conv shapes"),
+            };
+            let gz = self.stacked_grad(grad_out, &z);
+            drop(z);
+            let shape = self.weights[0].value.shape().to_vec();
+            let grads =
+                Tensor::conv2d_backward_weight_stacked(&gz, &x, &shape, nx, conv).expect("conv weight grad");
+            for (w, g) in self.weights.iter_mut().zip(&grads) {
+                w.accumulate_grad(g);
+            }
+            Tensor::conv2d_backward_input(&gz, &self.stacked(nx), x.shape(), conv).expect("conv input grad")
+        } else {
+            Tensor::zeros(x.shape())
+        };
+        if let Some(w) = self.weights.get_mut(nx) {
+            // The x² branch: d(x²)/dx = 2x.
+            let gw = Tensor::conv2d_backward_weight(grad_out, &x.square(), w.value.shape(), conv)
                 .expect("conv weight grad");
             w.accumulate_grad(&gw);
-            let gx = Tensor::conv2d_backward_input(branch_grad, &w.value, x_used.shape(), conv)
-                .expect("conv input grad");
-            if x_is_square {
-                // d(x²)/dx = 2x
-                let gx = gx.mul(&x_orig.mul_scalar(2.0)).expect("shape");
-                grad_in.add_assign(&gx).expect("shape");
-            } else {
-                grad_in.add_assign(&gx).expect("shape");
-            }
-        };
-
-        match self.neuron_type {
-            NeuronType::T2 => {
-                let xsq = x.square();
-                conv_branch_backward(&mut self.wa, grad_out, &mut grad_in, &xsq, true, &x);
-            }
-            NeuronType::T3 => {
-                let za = match self.cached_za.take() {
-                    Some(z) => z,
-                    None => self.conv_branch(&x, &self.wa),
-                };
-                let gz = grad_out.mul(&za.mul_scalar(2.0)).expect("shape");
-                conv_branch_backward(&mut self.wa, &gz, &mut grad_in, &x, false, &x);
-            }
-            NeuronType::T4 | NeuronType::T4Identity | NeuronType::T2And4 | NeuronType::Ours => {
-                let za = match self.cached_za.take() {
-                    Some(z) => z,
-                    None => self.conv_branch(&x, &self.wa),
-                };
-                let zb = match self.cached_zb.take() {
-                    Some(z) => z,
-                    None => self.conv_branch(&x, &self.wb),
-                };
-                let ga = grad_out.mul(&zb).expect("shape");
-                let gb = grad_out.mul(&za).expect("shape");
-                conv_branch_backward(&mut self.wa, &ga, &mut grad_in, &x, false, &x);
-                conv_branch_backward(&mut self.wb, &gb, &mut grad_in, &x, false, &x);
-                match self.neuron_type {
-                    NeuronType::T4Identity => {
-                        grad_in.add_assign(grad_out).expect("shape");
-                    }
-                    NeuronType::T2And4 => {
-                        let xsq = x.square();
-                        conv_branch_backward(&mut self.wc, grad_out, &mut grad_in, &xsq, true, &x);
-                    }
-                    NeuronType::Ours => {
-                        conv_branch_backward(&mut self.wc, grad_out, &mut grad_in, &x, false, &x);
-                    }
-                    _ => {}
-                }
-            }
-            NeuronType::T1 | NeuronType::T1And2 => unreachable!("rejected in constructor"),
+            let gx =
+                Tensor::conv2d_backward_input(grad_out, &w.value, x.shape(), conv).expect("conv input grad");
+            grad_in.add_assign(&gx.mul(&x.mul_scalar(2.0)).expect("shape")).expect("shape");
+        }
+        if self.neuron_type == NeuronType::T4Identity {
+            grad_in.add_assign(grad_out).expect("shape");
         }
         grad_in
     }
 
     fn params(&self) -> Vec<&Param> {
-        let mut p = Vec::new();
-        for w in [&self.wa, &self.wb, &self.wc].into_iter().flatten() {
-            p.push(w);
-        }
-        p.push(&self.bias);
-        p
+        self.weights.iter().chain([&self.bias]).collect()
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = Vec::new();
-        for w in [&mut self.wa, &mut self.wb, &mut self.wc].into_iter().flatten() {
-            p.push(w);
-        }
-        p.push(&mut self.bias);
-        p
+        self.weights.iter_mut().chain([&mut self.bias]).collect()
     }
 
     fn cached_bytes(&self) -> usize {
-        self.cached_x.as_ref().map(|t| t.nbytes()).unwrap_or(0)
-            + self.cached_za.as_ref().map(|t| t.nbytes()).unwrap_or(0)
-            + self.cached_zb.as_ref().map(|t| t.nbytes()).unwrap_or(0)
+        [&self.cached_x, &self.cached_z].into_iter().flatten().map(Tensor::nbytes).sum()
     }
 
     fn clear_cache(&mut self) {
         self.cached_x = None;
-        self.cached_za = None;
-        self.cached_zb = None;
+        self.cached_z = None;
     }
 
     fn flops_last_forward(&self) -> usize {
@@ -373,49 +415,75 @@ mod tests {
         NeuronType::Ours,
     ];
 
-    /// Reference forward used by the finite-difference checks.
-    fn reference_forward(layer: &QuadraticConv2d, x: &Tensor) -> Tensor {
+    /// Reference forward, one ordinary convolution per branch, with the
+    /// branch weights given explicitly (in the layer's `Wa, Wb, Wc` order).
+    fn reference_with(layer: &QuadraticConv2d, weights: &[Tensor], x: &Tensor) -> Tensor {
         let p = layer.conv;
-        let get = |w: &Option<Param>| w.as_ref().unwrap().value.clone();
+        let conv = |input: &Tensor, i: usize| input.conv2d(&weights[i], None, p).unwrap();
         let out = match layer.neuron_type {
-            NeuronType::T2 => x.square().conv2d(&get(&layer.wa), None, p).unwrap(),
-            NeuronType::T3 => x.conv2d(&get(&layer.wa), None, p).unwrap().square(),
-            NeuronType::T4 => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap()
-            }
-            NeuronType::T4Identity => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap().add(x).unwrap()
-            }
-            NeuronType::T2And4 => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap().add(&x.square().conv2d(&get(&layer.wc), None, p).unwrap()).unwrap()
-            }
-            NeuronType::Ours => {
-                let a = x.conv2d(&get(&layer.wa), None, p).unwrap();
-                let b = x.conv2d(&get(&layer.wb), None, p).unwrap();
-                a.mul(&b).unwrap().add(&x.conv2d(&get(&layer.wc), None, p).unwrap()).unwrap()
-            }
+            NeuronType::T2 => conv(&x.square(), 0),
+            NeuronType::T3 => conv(x, 0).square(),
+            NeuronType::T4 => conv(x, 0).mul(&conv(x, 1)).unwrap(),
+            NeuronType::T4Identity => conv(x, 0).mul(&conv(x, 1)).unwrap().add(x).unwrap(),
+            NeuronType::T2And4 => conv(x, 0).mul(&conv(x, 1)).unwrap().add(&conv(&x.square(), 2)).unwrap(),
+            NeuronType::Ours => conv(x, 0).mul(&conv(x, 1)).unwrap().add(&conv(x, 2)).unwrap(),
             _ => unreachable!(),
         };
         let bias = layer.bias.value.reshape(&[1, layer.out_channels, 1, 1]).unwrap();
         out.add(&bias).unwrap()
     }
 
+    /// Reference forward with the layer's own weights.
+    fn reference_forward(layer: &QuadraticConv2d, x: &Tensor) -> Tensor {
+        let weights: Vec<Tensor> = layer.weights.iter().map(|w| w.value.clone()).collect();
+        reference_with(layer, &weights, x)
+    }
+
+    /// A layer of type `t` with 4 input and output channels.
+    fn layer_4x4(t: NeuronType, stride: usize, groups: usize, r: &mut StdRng) -> QuadraticConv2d {
+        let mut layer = QuadraticConv2d::new(t, 4, 4, 3, stride, 1, groups, r);
+        // A non-zero bias, so the epilogue's bias term is checked too.
+        layer.bias.value = Tensor::randn(&[4], 0.0, 1.0, r);
+        layer
+    }
+
     #[test]
     fn forward_matches_reference_for_all_conv_types() {
         let mut r = rng();
         for t in CONV_TYPES {
-            let mut layer = QuadraticConv2d::conv3x3(t, 2, 2, &mut r);
-            let x = Tensor::randn(&[2, 2, 6, 6], 0.0, 1.0, &mut r);
-            let y = layer.forward(&x, true);
-            assert!(y.allclose(&reference_forward(&layer, &x), 1e-4), "type {}", t);
-            assert_eq!(y.shape(), &[2, 2, 6, 6]);
-            assert!(layer.flops_last_forward() > 0);
+            for groups in [1, 2] {
+                for stride in [1, 2] {
+                    if t == NeuronType::T4Identity && stride != 1 {
+                        continue; // identity mapping needs a shape-preserving conv
+                    }
+                    for batch in [1, 3] {
+                        let mut layer = layer_4x4(t, stride, groups, &mut r);
+                        let x = Tensor::randn(&[batch, 4, 6, 6], 0.0, 1.0, &mut r);
+                        let y = layer.forward(&x, false);
+                        let case = format!("type {t} groups {groups} stride {stride} batch {batch}");
+                        assert!(y.allclose(&reference_forward(&layer, &x), 1e-5), "{case}");
+                        assert_eq!(y.shape(), &[batch, 4, 6 / stride, 6 / stride], "{case}");
+                        assert_eq!(layer.forward(&x, true).as_slice(), y.as_slice(), "{case}");
+                        assert!(layer.flops_last_forward() > 0);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn eval_forward_caches_nothing() {
+        let mut r = rng();
+        for t in CONV_TYPES {
+            for mode in [BackpropMode::Default, BackpropMode::Hybrid] {
+                let mut layer = layer_4x4(t, 1, 1, &mut r);
+                layer.set_mode(mode);
+                let x = Tensor::randn(&[2, 4, 5, 5], 0.0, 1.0, &mut r);
+                let _ = layer.forward(&x, true);
+                assert!(layer.cached_bytes() >= x.nbytes(), "type {t} {mode}");
+                let _ = layer.forward(&x, false);
+                assert_eq!(layer.cached_bytes(), 0, "type {t} {mode}");
+            }
         }
     }
 
@@ -423,44 +491,44 @@ mod tests {
     fn backward_input_gradcheck_all_conv_types() {
         let mut r = rng();
         for t in CONV_TYPES {
-            let mut layer = QuadraticConv2d::conv3x3(t, 2, 2, &mut r);
-            let x = Tensor::randn(&[1, 2, 4, 4], 0.0, 1.0, &mut r);
-            let y = layer.forward(&x, true);
-            let gin = layer.backward(&Tensor::ones_like(&y));
-            let lref = &layer;
-            let numeric = numeric_gradient(|xv| reference_forward(lref, xv).sum(), &x, 1e-2);
-            let rep = check_close(&gin, &numeric);
-            assert!(rep.passes(8e-2), "type {}: {:?}", t, rep);
+            for groups in [1, 2] {
+                let mut layer = layer_4x4(t, 1, groups, &mut r);
+                let x = Tensor::randn(&[1, 4, 4, 4], 0.0, 1.0, &mut r);
+                let y = layer.forward(&x, true);
+                let gin = layer.backward(&Tensor::ones_like(&y));
+                let lref = &layer;
+                let numeric = numeric_gradient(|xv| reference_forward(lref, xv).sum(), &x, 1e-2);
+                let rep = check_close(&gin, &numeric);
+                assert!(rep.passes(8e-2), "type {t} groups {groups}: {rep:?}");
+            }
         }
     }
 
     #[test]
-    fn backward_weight_gradcheck_ours() {
+    fn backward_weight_gradcheck_all_conv_types() {
         let mut r = rng();
-        let mut layer = QuadraticConv2d::conv3x3(NeuronType::Ours, 2, 2, &mut r);
-        let x = Tensor::randn(&[2, 2, 4, 4], 0.0, 1.0, &mut r);
-        let y = layer.forward(&x, true);
-        layer.backward(&Tensor::ones_like(&y));
-        for idx in 0..3 {
-            let analytic = layer.params()[idx].grad.clone();
-            let x2 = x.clone();
-            let p = layer.conv;
-            let wa = layer.wa.as_ref().unwrap().value.clone();
-            let wb = layer.wb.as_ref().unwrap().value.clone();
-            let wc = layer.wc.as_ref().unwrap().value.clone();
-            let f = move |w: &Tensor| {
-                let (wa, wb, wc) = match idx {
-                    0 => (w.clone(), wb.clone(), wc.clone()),
-                    1 => (wa.clone(), w.clone(), wc.clone()),
-                    _ => (wa.clone(), wb.clone(), w.clone()),
-                };
-                let a = x2.conv2d(&wa, None, p).unwrap();
-                let b = x2.conv2d(&wb, None, p).unwrap();
-                a.mul(&b).unwrap().add(&x2.conv2d(&wc, None, p).unwrap()).unwrap().sum()
-            };
-            let numeric = numeric_gradient(f, &layer.params()[idx].value, 1e-2);
-            let rep = check_close(&analytic, &numeric);
-            assert!(rep.passes(1e-1), "weight {}: {:?}", idx, rep);
+        for t in CONV_TYPES {
+            for (stride, groups) in [(1, 1), (2, 2)] {
+                if t == NeuronType::T4Identity && stride != 1 {
+                    continue;
+                }
+                let mut layer = layer_4x4(t, stride, groups, &mut r);
+                let x = Tensor::randn(&[2, 4, 4, 4], 0.0, 1.0, &mut r);
+                let y = layer.forward(&x, true);
+                // A random upstream gradient weights every output differently.
+                let g = Tensor::randn(y.shape(), 0.0, 1.0, &mut r);
+                layer.backward(&g);
+                let weights: Vec<Tensor> = layer.weights.iter().map(|w| w.value.clone()).collect();
+                for (idx, w) in layer.weights.iter().enumerate() {
+                    let f = |wv: &Tensor| {
+                        let mut ws = weights.clone();
+                        ws[idx] = wv.clone();
+                        reference_with(&layer, &ws, &x).mul(&g).unwrap().sum()
+                    };
+                    let rep = check_close(&w.grad, &numeric_gradient(f, &w.value, 1e-2));
+                    assert!(rep.passes(1e-1), "type {t} stride {stride} groups {groups} {}: {rep:?}", w.name);
+                }
+            }
         }
     }
 

@@ -142,9 +142,17 @@ pub(crate) fn run(
                 listener_registered = false;
             }
             broadcast_goaway(&cfg, &mut poller, &mut conns);
+            refuse_unread_requests(&cfg, &mut poller, &pump, &client, &mut conns);
         }
         if draining {
-            let quiesced = pump.outstanding() == 0 && conns.values().all(|c| !c.link.wants_write());
+            // Read the count before delivering: the pump publishes a
+            // completion before it leaves the count, so once the count is
+            // zero this delivery sees every completion. Checking the count
+            // after the delivery above instead could exit with completions
+            // published in between and never written.
+            let settled = pump.outstanding() == 0;
+            deliver_completions(&cfg, &mut poller, &pump, &mut conns);
+            let quiesced = settled && conns.values().all(|c| !c.link.wants_write());
             if quiesced || Instant::now() >= drain_deadline {
                 break;
             }
@@ -384,6 +392,34 @@ fn broadcast_goaway(cfg: &GatewayConfig, poller: &mut Poller, conns: &mut HashMa
     }
     for token in dead {
         close_conn(poller, conns, token);
+    }
+}
+
+/// Read every connection once as the drain begins. A request sent before
+/// the stop signal may still sit unread in its socket's receive buffer when
+/// the loop sees the signal; without this sweep the loop could find nothing
+/// outstanding and exit at once, closing the connection with the request
+/// unanswered. Read now, each such request is refused with a `ShuttingDown`
+/// error frame.
+fn refuse_unread_requests(
+    cfg: &GatewayConfig,
+    poller: &mut Poller,
+    pump: &CompletionPump,
+    client: &RouterClient,
+    conns: &mut HashMap<u64, Conn>,
+) {
+    let tokens: Vec<u64> = conns.keys().copied().collect();
+    for token in tokens {
+        let ev = Event { token, readable: true, writable: false, closed: false };
+        let keep = match conns.get_mut(&token) {
+            Some(conn) if conn.wants_read() => {
+                on_conn_event(cfg, poller, pump, client, conn, token, ev, true)
+            }
+            _ => true,
+        };
+        if !keep {
+            close_conn(poller, conns, token);
+        }
     }
 }
 

@@ -545,9 +545,16 @@ impl Waker {
     }
 
     /// Consume a pending wakeup; called by the loop when the fd fires.
+    ///
+    /// The fd is read *before* the flag is cleared. In the other order a
+    /// `notify` landing between the two would signal into the fd, the read
+    /// would swallow that signal, and `pending` would stay set with nothing
+    /// left to wake the loop, so every later `notify` would be skipped. A
+    /// `notify` that now lands between the read and the clear skips its
+    /// signal, which is safe: the loop processes completions after draining.
     pub fn drain(&self) {
-        self.pending.store(false, Ordering::Release);
         self.fds.drain();
+        self.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -631,5 +638,66 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(Some(Duration::from_millis(1000)), &mut events).unwrap();
         assert_eq!(events.len(), 1);
+    }
+
+    #[test]
+    fn every_notify_after_a_drain_wakes_the_poller() {
+        use std::sync::atomic::AtomicU64;
+        use std::sync::Arc;
+        use std::time::Instant;
+
+        // One shared clock orders the notifier's calls against the loop's
+        // drains: a notify stamped after the last drain finished must wake
+        // the poller. Clearing `pending` before reading the fd lost such a
+        // wakeup within a few thousand rounds.
+        const RUN: Duration = Duration::from_millis(500);
+        let waker = Arc::new(Waker::new().unwrap());
+        let clock = Arc::new(AtomicU64::new(1));
+        let last_notify = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let notifier = {
+            let (waker, clock, last_notify, stop) =
+                (Arc::clone(&waker), Arc::clone(&clock), Arc::clone(&last_notify), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut notifies = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    last_notify.store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                    waker.notify();
+                    notifies += 1;
+                    for _ in 0..(notifies % 64) {
+                        std::hint::spin_loop();
+                    }
+                }
+                // A final notify releases a loop waiting on an idle channel.
+                waker.notify();
+            })
+        };
+
+        let mut poller = Poller::new().unwrap();
+        poller.register(waker.read_fd(), 1, true, false).unwrap();
+        let (start, mut drains, mut last_drain) = (Instant::now(), 0u64, 0u64);
+        let mut lost = None;
+        while start.elapsed() < RUN {
+            let mut events = Vec::new();
+            poller.wait(Some(Duration::from_secs(1)), &mut events).unwrap();
+            if events.is_empty() {
+                let notified = last_notify.load(Ordering::SeqCst);
+                if notified > last_drain {
+                    lost = Some((notified, last_drain));
+                }
+                break;
+            }
+            waker.drain();
+            last_drain = clock.fetch_add(1, Ordering::SeqCst);
+            drains += 1;
+        }
+        stop.store(true, Ordering::Release);
+        notifier.join().unwrap();
+        if let Some((notified, drained)) = lost {
+            panic!(
+                "notify at {notified} (after the drain at {drained}) never woke the poller, {drains} drains"
+            );
+        }
+        assert!(drains > 0);
     }
 }

@@ -186,6 +186,42 @@ pub fn col2im(
     Tensor::from_vec(out, out_shape)
 }
 
+/// Stack the weights of convolutions that share one input into one weight.
+///
+/// Every part is an `[oc, in_c/groups, kh, kw]` weight. The result is
+/// `[parts·oc, in_c/groups, kh, kw]`, stacked group-major: group `g` holds
+/// the group-`g` rows of each part in turn, `[g][part][oc/groups]`. With the
+/// same `groups`, [`Tensor::conv2d`] accepts it unchanged and computes every
+/// part in one GEMM per sample and group; output channel
+/// `(g·parts + p)·oc/groups + j` is channel `g·oc/groups + j` of part `p`.
+pub fn stack_conv_weights(parts: &[&Tensor], groups: usize) -> Result<Tensor> {
+    let first = parts.first().ok_or_else(|| TensorError::InvalidArgument {
+        msg: "stack_conv_weights needs at least one weight".into(),
+    })?;
+    if first.ndim() != 4 || groups == 0 || first.shape()[0] % groups != 0 {
+        return Err(TensorError::InvalidConvConfig {
+            msg: format!("cannot stack weight {:?} in {} groups", first.shape(), groups),
+        });
+    }
+    if let Some(other) = parts.iter().find(|w| w.shape() != first.shape()) {
+        return Err(TensorError::IncompatibleShapes {
+            op: "stack_conv_weights",
+            lhs: first.shape().to_vec(),
+            rhs: other.shape().to_vec(),
+        });
+    }
+    let per_group = first.numel() / groups;
+    let mut out = Vec::with_capacity(parts.len() * first.numel());
+    for gi in 0..groups {
+        for w in parts {
+            out.extend_from_slice(&w.as_slice()[gi * per_group..(gi + 1) * per_group]);
+        }
+    }
+    let mut shape = first.shape().to_vec();
+    shape[0] *= parts.len();
+    Tensor::from_vec(out, &shape)
+}
+
 impl Tensor {
     /// 2-D convolution of an NCHW input with an `[out_c, in_c/groups, kh, kw]`
     /// weight tensor and optional `[out_c]` bias.
@@ -337,6 +373,24 @@ impl Tensor {
         weight_shape: &[usize],
         params: Conv2dParams,
     ) -> Result<Tensor> {
+        let mut grads = Self::conv2d_backward_weight_stacked(grad_out, input, weight_shape, 1, params)?;
+        grads.pop().ok_or_else(|| TensorError::InvalidArgument { msg: "no weight gradient".into() })
+    }
+
+    /// Weight gradients of `parts` convolutions of one input, given the
+    /// gradient of their stacked output (see [`stack_conv_weights`]).
+    ///
+    /// `grad_out` has `parts·oc` channels in the stacked group-major order;
+    /// the result holds one `weight_shape` gradient per part. The input is
+    /// lowered once and the parts are reduced one after another from the
+    /// shared columns, so the per-batch partial sums stay one part in size.
+    pub fn conv2d_backward_weight_stacked(
+        grad_out: &Tensor,
+        input: &Tensor,
+        weight_shape: &[usize],
+        parts: usize,
+        params: Conv2dParams,
+    ) -> Result<Vec<Tensor>> {
         if grad_out.ndim() != 4 || input.ndim() != 4 || weight_shape.len() != 4 {
             return Err(TensorError::InvalidArgument {
                 msg: "conv2d_backward_weight expects NCHW tensors".into(),
@@ -348,11 +402,11 @@ impl Tensor {
         let g = params.groups;
         let oh = params.out_size(h, kh);
         let ow = params.out_size(w, kw);
-        if grad_out.shape() != [n, oc, oh, ow] {
+        if grad_out.shape() != [n, parts * oc, oh, ow] {
             return Err(TensorError::IncompatibleShapes {
                 op: "conv2d_backward_weight",
                 lhs: grad_out.shape().to_vec(),
-                rhs: vec![n, oc, oh, ow],
+                rhs: vec![n, parts * oc, oh, ow],
             });
         }
         let cols = im2col(input, kh, kw, params)?;
@@ -373,37 +427,43 @@ impl Tensor {
         const WEIGHT_REDUCE_BATCHES: usize = 8;
         let batches = WEIGHT_REDUCE_BATCHES.min(n.max(1));
         let per = n.div_ceil(batches);
-        let partials: Vec<Vec<f32>> = (0..batches)
-            .into_par_iter()
-            .map(|wi| {
-                let mut gw = vec![0.0f32; oc * group_rows];
-                for ni in wi * per..((wi + 1) * per).min(n) {
-                    let col_n = &csrc[ni * col_rows * col_cols..(ni + 1) * col_rows * col_cols];
-                    let go_n = &gsrc[ni * oc * col_cols..(ni + 1) * oc * col_cols];
-                    for gi in 0..g {
-                        let go_g = &go_n[gi * oc_g * col_cols..(gi + 1) * oc_g * col_cols];
-                        let col_g = &col_n[gi * group_rows * col_cols..(gi + 1) * group_rows * col_cols];
-                        gemm_nt_into(
-                            &mut gw[gi * oc_g * group_rows..(gi + 1) * oc_g * group_rows],
-                            go_g,
-                            col_g,
-                            oc_g,
-                            col_cols,
-                            group_rows,
-                            batches == 1,
-                        );
+        (0..parts)
+            .map(|part| {
+                let partials: Vec<Vec<f32>> = (0..batches)
+                    .into_par_iter()
+                    .map(|wi| {
+                        let mut gw = vec![0.0f32; oc * group_rows];
+                        for ni in wi * per..((wi + 1) * per).min(n) {
+                            let col_n = &csrc[ni * col_rows * col_cols..(ni + 1) * col_rows * col_cols];
+                            let go_n = &gsrc[ni * parts * oc * col_cols..(ni + 1) * parts * oc * col_cols];
+                            for gi in 0..g {
+                                let row0 = (gi * parts + part) * oc_g;
+                                let go_g = &go_n[row0 * col_cols..(row0 + oc_g) * col_cols];
+                                let col_g =
+                                    &col_n[gi * group_rows * col_cols..(gi + 1) * group_rows * col_cols];
+                                gemm_nt_into(
+                                    &mut gw[gi * oc_g * group_rows..(gi + 1) * oc_g * group_rows],
+                                    go_g,
+                                    col_g,
+                                    oc_g,
+                                    col_cols,
+                                    group_rows,
+                                    batches == 1,
+                                );
+                            }
+                        }
+                        gw
+                    })
+                    .collect();
+                let mut acc = vec![0.0f32; oc * group_rows];
+                for p in partials {
+                    for (a, v) in acc.iter_mut().zip(p) {
+                        *a += v;
                     }
                 }
-                gw
+                Tensor::from_vec(acc, weight_shape)
             })
-            .collect();
-        let mut acc = vec![0.0f32; oc * group_rows];
-        for p in partials {
-            for (a, v) in acc.iter_mut().zip(p) {
-                *a += v;
-            }
-        }
-        Tensor::from_vec(acc, weight_shape)
+            .collect()
     }
 
     /// Gradient of a conv2d output with respect to its bias: sum over batch and

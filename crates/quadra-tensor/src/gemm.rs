@@ -26,34 +26,39 @@
 //! anyway).
 
 use rayon::prelude::*;
-use std::cell::RefCell;
+use std::cell::Cell;
 
 thread_local! {
     /// Reusable packing buffer for `B` panels. GEMM is called thousands of
     /// times per training epoch; reusing the scratch avoids a fresh ~256 KiB
     /// zeroed allocation (and its page faults) on every call. The pack
     /// routines overwrite every slot they expose, so stale contents are fine.
-    static B_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static B_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
     /// Reusable packing buffer for `A` row-block panels (separate cell from
-    /// [`B_SCRATCH`] so the parallel path can borrow both without conflict
-    /// when the closure runs inline on the calling thread).
-    static A_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// [`B_SCRATCH`] so the parallel path can hold both at once when the
+    /// closure runs inline on the calling thread).
+    static A_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
-/// Borrow a thread-local scratch buffer grown to at least `len` floats.
+/// Run `f` on a thread-local scratch buffer grown to at least `len` floats.
+///
+/// The buffer is *taken* out of its cell for the call and put back after,
+/// never borrowed across it: a thread that waits in a pool `join` inside `f`
+/// may run another GEMM job, and that nested call must find the cell empty
+/// and allocate its own buffer instead of aliasing (or panicking on) this one.
 // quadra-analyze: allow(panic_path:indexing, the buffer is resized to at least len on the line above the slice)
 fn with_scratch<R>(
-    cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>,
+    cell: &'static std::thread::LocalKey<Cell<Vec<f32>>>,
     len: usize,
     f: impl FnOnce(&mut [f32]) -> R,
 ) -> R {
-    cell.with(|c| {
-        let mut buf = c.borrow_mut();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        f(&mut buf[..len])
-    })
+    let mut buf = cell.take();
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    let out = f(&mut buf[..len]);
+    cell.set(buf);
+    out
 }
 
 /// Micro-kernel tile height (rows of `C` accumulated in registers).

@@ -48,7 +48,7 @@ mod reduce;
 mod shape;
 mod tensor;
 
-pub use conv::{col2im, im2col, Conv2dParams};
+pub use conv::{col2im, im2col, stack_conv_weights, Conv2dParams};
 pub use error::{Result, TensorError};
 pub use init::InitKind;
 pub use pool::{PoolIndices, PoolParams};

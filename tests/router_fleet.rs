@@ -1,12 +1,13 @@
 //! Acceptance surface of the routing engine: a router serving two real
 //! architectures (MobileNetV1 + ResNet-20) concurrently must return
 //! bitwise-identical outputs to direct per-model forward calls, and
-//! hot-reloading one endpoint must not disturb the other.
+//! hot-reloading one endpoint must not disturb the other. The paper's own
+//! quadratic ResNet-20 must serve bitwise-identically at batch 1 and 8.
 //!
 //! Follows the repo convention: a shrunk default test plus the full-length
 //! variant behind `#[ignore]` for the non-blocking CI job.
 
-use quadralib::core::{build_model, ModelConfig};
+use quadralib::core::{build_model, AutoBuilder, ModelConfig, NeuronType};
 use quadralib::models::{mobilenet_v1_config, resnet20_config};
 use quadralib::nn::{Layer, StateDict};
 use quadralib::serve::{BatchPolicy, Priority, Router, ServeConfig, ServeError};
@@ -142,4 +143,59 @@ fn router_serves_two_architectures_bitwise_and_reloads_independently() {
 #[ignore = "full-length variant of router_serves_two_architectures_bitwise_and_reloads_independently"]
 fn router_serves_two_architectures_bitwise_and_reloads_independently_full() {
     router_fleet(16, 24);
+}
+
+#[test]
+fn router_serves_quadratic_resnet_bitwise_at_batch_1_and_8() {
+    let config = AutoBuilder::new(NeuronType::Ours).convert(&resnet20_config(4, 4, 8));
+    let build = {
+        let config = config.clone();
+        move || Box::new(build_model(&config, &mut StdRng::seed_from_u64(31))) as Box<dyn Layer>
+    };
+    let router = Router::builder()
+        .endpoint(
+            "qresnet",
+            ServeConfig {
+                workers: 1,
+                policy: BatchPolicy {
+                    max_batch_size: 8,
+                    // Long and fixed, so a burst of 8 always rides one batch.
+                    max_wait: Duration::from_millis(500),
+                    adaptive_wait: false,
+                    ..BatchPolicy::default()
+                },
+                ..ServeConfig::default()
+            },
+            build,
+        )
+        .start()
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(6);
+    // Small inputs: twenty untrained quadratic layers square their scale.
+    let inputs: Vec<Tensor> = (0..8).map(|_| Tensor::randn(&[1, 3, 8, 8], 0.0, 0.1, &mut rng)).collect();
+    let mut model = build_model(&config, &mut StdRng::seed_from_u64(31));
+    let singles: Vec<Tensor> = inputs.iter().map(|x| model.forward(x, false)).collect();
+    assert!(singles.iter().all(|y| !y.has_non_finite()), "reference outputs must be finite to compare");
+    let batch = model.forward(&Tensor::concat(&inputs.iter().collect::<Vec<_>>(), 0).unwrap(), false);
+
+    let client = router.client();
+    // Batch 1: the burst must not start before the first reply is back.
+    let first = client.submit("qresnet", inputs[0].clone(), Priority::Interactive).unwrap().wait().unwrap();
+    assert_eq!(first.batch_samples, 1);
+    assert_eq!(first.output.as_slice(), singles[0].as_slice(), "served batch-1 output");
+    // Batch 8: one burst, coalesced into a single forward.
+    let handles: Vec<_> =
+        inputs.iter().map(|x| client.submit("qresnet", x.clone(), Priority::Interactive).unwrap()).collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        let response = h.wait().unwrap();
+        assert_eq!(response.batch_samples, 8, "request {i} did not ride the batch of 8");
+        assert_eq!(response.output.as_slice(), singles[i].as_slice(), "batch-8 row {i} vs direct batch 1");
+        assert_eq!(
+            response.output.as_slice(),
+            batch.narrow(0, i, 1).unwrap().as_slice(),
+            "row {i} vs batch 8"
+        );
+    }
+    let metrics = router.shutdown();
+    assert_eq!(metrics.get("qresnet").unwrap().completed_requests, 9);
 }
